@@ -11,9 +11,9 @@ and the ordering of what bodies *actually* touch:
 * :mod:`repro.check.instrument` — in-place program instrumentation that
   works on every backend without perturbing cycle counts.
 
-Frontends: ``tflux-run --check-races``, ``ddmcpp --check-races``, and
-``JobSpec(check="races")`` for gated :func:`repro.exec.run_job` /
-``tflux-serve`` admission.
+Frontends: ``tflux-run`` and ``ddmcpp`` share :func:`audit` for
+``--check-deps``/``--check-races``, and ``JobSpec(check="races")``
+gates :func:`repro.exec.run_job` / ``tflux-serve`` admission.
 """
 
 from repro.check.checker import (
@@ -23,7 +23,7 @@ from repro.check.checker import (
     RaceCheckError,
     analyze,
 )
-from repro.check.instrument import CheckSession, instrument, run_checked
+from repro.check.instrument import CheckSession, audit, instrument, run_checked
 from repro.check.recording import CheckedEnvironment, RecordingArray
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "RaceCheckError",
     "analyze",
     "CheckSession",
+    "audit",
     "instrument",
     "run_checked",
     "CheckedEnvironment",

@@ -25,7 +25,7 @@ before/after the dataflow region and cannot race with anything.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from repro.check.checker import CheckReport, InstanceRecord, analyze
 from repro.check.recording import AccessSink, CheckedEnvironment
 from repro.core.dynamic import Subflow
 from repro.core.dthread import DThreadTemplate
+from repro.core.deps import check_deps
 from repro.core.graph import SynchronizationGraph
 from repro.core.program import DDMProgram
 
-__all__ = ["CheckSession", "instrument", "run_checked"]
+__all__ = ["CheckSession", "audit", "instrument", "run_checked"]
 
 
 class CheckSession(AccessSink):
@@ -127,3 +128,23 @@ def run_checked(program: DDMProgram) -> CheckReport:
     session = instrument(program)
     program.run_sequential()
     return session.report()
+
+
+def audit(
+    build: Callable[[], DDMProgram], label: str, *, deps: bool, races: bool
+) -> int:
+    """The ``--check-deps``/``--check-races`` frontend of both CLIs.
+
+    Runs the static dependence diagnosis and/or one recorded functional
+    run, each on a fresh program from *build* (programs are single-run
+    objects), printing ``<label>:`` and the report for each.  Returns
+    the exit status: 0 when every requested audit is clean, else 1.
+    """
+    status = 0
+    for enabled, check in ((deps, check_deps), (races, run_checked)):
+        if enabled:
+            report = check(build())
+            print(f"{label}:")
+            print(report.format())
+            status = max(status, 0 if report.ok else 1)
+    return status

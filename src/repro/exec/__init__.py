@@ -7,7 +7,9 @@ makes the harness's own wall-clock scale with the host machine:
   executor (``TFLUX_JOBS``), and the batched §5 evaluation protocol;
 * :mod:`repro.exec.cache` — a content-addressed on-disk result cache
   (``TFLUX_CACHE_DIR``) keyed on job spec + cost-model parameters +
-  a fingerprint of the simulator sources.
+  a fingerprint of the simulator sources, and the in-memory
+  :class:`~repro.exec.cache.SingleFlightLRU` shared by the baseline
+  memo and ``tflux-serve``.
 
 See ``docs/simulation.md`` ("Running the harness fast") for usage.
 """

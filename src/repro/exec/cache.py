@@ -20,6 +20,11 @@ the env-free :class:`~repro.obs.RunRecord` (the cache stores *timing*
 results — cycle counts, counters, spans — never program state,
 preserving the functional/timing split).  Reads additionally refuse
 records carrying a stale ``schema_version``.
+
+Above the disk sits :class:`SingleFlightLRU`, the one in-memory
+single-flight memo of the job frontier: the §5 baseline memo of
+:func:`~repro.exec.pool.evaluate_many` and the ``tflux-serve`` outcome
+LRU are both instances of it.
 """
 
 from __future__ import annotations
@@ -30,12 +35,17 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Optional
 
 __all__ = [
+    "MISS",
     "ResultCache",
+    "SingleFlightLRU",
     "cache_from_env",
     "describe",
     "source_fingerprint",
@@ -305,6 +315,128 @@ class ResultCache:
         scope.inc("hits", self.hits)
         scope.inc("misses", self.misses)
         scope.inc("stores", self.stores)
+
+
+#: Sentinel distinguishing "cached None" from "not cached".
+MISS = object()
+
+
+class SingleFlightLRU:
+    """Thread-safe bounded LRU whose misses coalesce onto one computation.
+
+    One lock guards an ordered map of completed values (strict LRU:
+    :meth:`lookup` and :meth:`claim` refresh recency) and a table of
+    in-flight ``concurrent.futures.Future``\\ s.  :meth:`claim` returns
+    ``(future, is_leader)``: the first claimer of a missing key leads and
+    must :meth:`resolve` (cache and wake) or :meth:`reject` (wake, cache
+    nothing) it; later claimers share its future.  A resolved key
+    returns a completed future and never launches, so a lookup-miss/claim
+    race between threads cannot start a second computation.
+
+    Callbacks added with ``add_done_callback`` run in the thread that
+    resolves or rejects (at once, if the future is already done); waiters
+    are woken outside the lock.  :class:`repro.serve.server.TFluxServer`
+    resolves only on its event-loop thread, so its callbacks run there.
+    Flight futures are marked running: a waiter's ``cancel()`` cannot
+    kill the flight.  ``hits`` counts lookups and claims answered from
+    the map, ``misses`` lookups that were not.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"LRU capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._done: "OrderedDict[Any, Any]" = OrderedDict()
+        self._flights: dict[Any, Future] = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.coalesced = 0
+        self.launched = 0
+
+    @property
+    def inflight(self) -> int:
+        """Number of keys currently being computed."""
+        return len(self._flights)
+
+    def lookup(self, key: Any) -> Any:
+        """The cached value, or :data:`MISS` (recency refreshed on hit)."""
+        with self._lock:
+            if key in self._done:
+                self._done.move_to_end(key)
+                self.hits += 1
+                return self._done[key]
+            self.misses += 1
+            return MISS
+
+    def claim(self, key: Any) -> tuple[Future, bool]:
+        """Join or open the flight for *key*: ``(future, is_leader)``."""
+        with self._lock:
+            if key in self._done:
+                self._done.move_to_end(key)
+                self.hits += 1
+                fut: Future = Future()
+                fut.set_result(self._done[key])
+                return fut, False
+            fut = self._flights.get(key)
+            if fut is not None:
+                self.coalesced += 1
+                return fut, False
+            fut = self._flights[key] = Future()
+            fut.set_running_or_notify_cancel()
+            self.launched += 1
+            return fut, True
+
+    def resolve(self, key: Any, value: Any) -> None:
+        """Leader completed: cache *value* and wake every waiter."""
+        with self._lock:
+            fut = self._flights.pop(key)
+            self._done[key] = value
+            self._done.move_to_end(key)
+            while len(self._done) > self.capacity:
+                self._done.popitem(last=False)
+                self.evictions += 1
+        fut.set_result(value)
+
+    def reject(self, key: Any, exc: BaseException) -> None:
+        """Leader failed: propagate *exc* to every waiter, cache nothing."""
+        with self._lock:
+            fut = self._flights.pop(key)
+        fut.set_exception(exc)
+
+    def clear(self) -> None:
+        """Forget completed values (in-flight keys keep their leaders)."""
+        with self._lock:
+            self._done.clear()
+
+    def keys(self) -> list[Any]:
+        """Completed keys from least to most recently used (a snapshot)."""
+        with self._lock:
+            return list(self._done)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._done)
+
+    def __contains__(self, key: Any) -> bool:
+        """Non-refreshing membership probe (recency order untouched)."""
+        with self._lock:
+            return key in self._done
+
+    def stats(self) -> dict[str, int]:
+        """A plain snapshot for stats replies and tests."""
+        with self._lock:
+            return {
+                "size": len(self._done),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "inflight": len(self._flights),
+                "coalesced": self.coalesced,
+                "launched": self.launched,
+            }
 
 
 def cache_from_env() -> Optional[ResultCache]:

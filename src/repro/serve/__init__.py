@@ -9,7 +9,10 @@ performance core is three layers above the process pool:
 * **single-flight dedup** (:mod:`repro.serve.lru`) — identical in-flight
   jobs coalesce onto one running simulation, with a bounded in-memory
   LRU of recent outcomes above the on-disk
-  :class:`~repro.exec.cache.ResultCache`;
+  :class:`~repro.exec.cache.ResultCache`.  The primitive is the one
+  thread-safe :class:`~repro.exec.cache.SingleFlightLRU` in
+  ``repro/exec/cache.py``, which also memoises the §5 baselines of
+  :func:`repro.exec.pool.evaluate_many`;
 * **fair scheduling** (:mod:`repro.serve.scheduler`) — per-tenant
   round-robin with priority aging, deterministic and wall-clock-free;
 * **admission control** (:mod:`repro.serve.server`) — bounded queues, a
@@ -24,7 +27,7 @@ semantics, and the ``TFLUX_SERVE_*`` knobs;
 """
 
 from repro.serve.client import BatchResult, ServeClient
-from repro.serve.lru import MISS, LRUCache, SingleFlightLRU
+from repro.serve.lru import MISS, SingleFlightLRU
 from repro.serve.protocol import (
     WIRE_VERSION,
     WireError,
@@ -45,7 +48,6 @@ __all__ = [
     "BatchResult",
     "ServeClient",
     "MISS",
-    "LRUCache",
     "SingleFlightLRU",
     "WIRE_VERSION",
     "WireError",

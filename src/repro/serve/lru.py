@@ -1,199 +1,15 @@
-"""In-memory LRU + single-flight coalescing for the job frontier.
+"""The serve layer's in-memory LRU + single-flight table.
 
-The serving layer (:mod:`repro.serve.server`) answers most traffic out
-of memory: a bounded least-recently-used map of recent
-:class:`~repro.exec.pool.JobOutcome`\\ s keyed by
-:func:`~repro.exec.cache.spec_digest` sits *above* the on-disk
-:class:`~repro.exec.cache.ResultCache`, so a thundering herd of
-identical requests costs one simulation and — after the first
-completion — zero disk reads.
-
-Two pieces, composable and separately testable:
-
-* :class:`LRUCache` — a thread-safe bounded mapping with strict LRU
-  eviction (``get`` refreshes recency) and hit/miss/eviction counters.
-* :class:`SingleFlightLRU` — the LRU plus *single-flight* semantics:
-  concurrent requests for the same missing key coalesce onto one
-  in-flight computation instead of racing duplicates.  The sync
-  primitives (:meth:`~SingleFlightLRU.lookup` /
-  :meth:`~SingleFlightLRU.claim` / :meth:`~SingleFlightLRU.resolve` /
-  :meth:`~SingleFlightLRU.reject`) let the server account for pool
-  slots *exactly* (a claim is synchronous, so the dispatcher's
-  max-in-flight bound never overshoots); the async convenience
-  :meth:`~SingleFlightLRU.get_or_compute` wraps them for embedders and
-  the property tests.
-
-Failures are never cached: a rejected flight propagates its exception
-to every coalesced waiter and the next request recomputes.
+``tflux-serve`` answers most traffic out of memory: a bounded LRU of
+recent :class:`~repro.exec.pool.JobOutcome`\\ s keyed by
+:func:`~repro.exec.cache.spec_digest` sits above the on-disk
+:class:`~repro.exec.cache.ResultCache`, and concurrent requests for one
+missing digest coalesce onto a single simulation.  That primitive is
+shared with the §5 baseline memo of :func:`repro.exec.pool.evaluate_many`,
+so it lives in :mod:`repro.exec.cache`; this module re-exports it under
+its serve-layer name.
 """
 
-from __future__ import annotations
+from repro.exec.cache import MISS, SingleFlightLRU
 
-import asyncio
-import threading
-from collections import OrderedDict
-from typing import Any, Awaitable, Callable, Iterator
-
-__all__ = ["MISS", "LRUCache", "SingleFlightLRU"]
-
-#: Sentinel distinguishing "cached None" from "not cached".
-MISS = object()
-
-
-class LRUCache:
-    """Thread-safe bounded mapping with least-recently-used eviction.
-
-    ``get`` refreshes recency, ``put`` inserts/updates at the
-    most-recent end and evicts from the least-recent end beyond
-    *capacity*.  Counters (``hits``/``misses``/``evictions``) are plain
-    ints, published by the owner (the convention of :mod:`repro.obs`).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"LRU capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return default
-
-    def put(self, key: Any, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def __contains__(self, key: Any) -> bool:
-        """Non-refreshing membership probe (recency order untouched)."""
-        with self._lock:
-            return key in self._data
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def keys(self) -> list[Any]:
-        """Keys from least- to most-recently used (a snapshot)."""
-        with self._lock:
-            return list(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LRUCache({len(self)}/{self.capacity}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
-        )
-
-
-class SingleFlightLRU:
-    """An :class:`LRUCache` whose misses coalesce onto one computation.
-
-    The flight table maps key → ``asyncio.Future``; the *first* claimer
-    of a missing key becomes the leader (it must later
-    :meth:`resolve` or :meth:`reject` the key), every other claimer gets
-    the same future.  All sync methods must be called on the event-loop
-    thread; the underlying LRU is additionally thread-safe so read-only
-    observers (stats threads, tests) may probe it from outside.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.lru = LRUCache(capacity)
-        self._flights: dict[Any, asyncio.Future] = {}
-        #: Claims that joined an existing flight instead of launching one.
-        self.coalesced = 0
-        #: Flights actually launched (leader claims).
-        self.launched = 0
-
-    # -- sync primitives (exact accounting for the dispatcher) ---------------
-    @property
-    def inflight(self) -> int:
-        """Number of keys currently being computed."""
-        return len(self._flights)
-
-    def lookup(self, key: Any) -> Any:
-        """The cached value, or :data:`MISS` (recency refreshed on hit)."""
-        return self.lru.get(key, MISS)
-
-    def claim(self, key: Any) -> tuple[asyncio.Future, bool]:
-        """Join or open the flight for *key*: ``(future, is_leader)``.
-
-        The leader owns completion; a non-leader must only await.
-        """
-        fut = self._flights.get(key)
-        if fut is not None:
-            self.coalesced += 1
-            return fut, False
-        fut = asyncio.get_running_loop().create_future()
-        self._flights[key] = fut
-        self.launched += 1
-        return fut, True
-
-    def resolve(self, key: Any, value: Any) -> None:
-        """Leader completed: cache *value* and wake every waiter."""
-        self.lru.put(key, value)
-        fut = self._flights.pop(key)
-        if not fut.done():
-            fut.set_result(value)
-
-    def reject(self, key: Any, exc: BaseException) -> None:
-        """Leader failed: propagate to waiters, cache nothing."""
-        fut = self._flights.pop(key)
-        if not fut.done():
-            fut.set_exception(exc)
-
-    # -- async convenience ----------------------------------------------------
-    async def get_or_compute(
-        self, key: Any, compute: Callable[[], Awaitable[Any]]
-    ) -> Any:
-        """The value for *key*: LRU hit, coalesced flight, or *compute*.
-
-        N concurrent calls for one missing key run *compute* exactly
-        once; the result lands in the LRU and is returned to all N.
-        The shared future is shielded so one waiter's cancellation
-        cannot kill the flight for the others.
-        """
-        value = self.lookup(key)
-        if value is not MISS:
-            return value
-        fut, leader = self.claim(key)
-        if not leader:
-            return await asyncio.shield(fut)
-        try:
-            value = await compute()
-        except BaseException as exc:
-            self.reject(key, exc)
-            raise
-        self.resolve(key, value)
-        return value
-
-    def stats(self) -> dict[str, int]:
-        """A plain snapshot for stats replies and tests."""
-        return {
-            "size": len(self.lru),
-            "capacity": self.lru.capacity,
-            "hits": self.lru.hits,
-            "misses": self.lru.misses,
-            "evictions": self.lru.evictions,
-            "inflight": self.inflight,
-            "coalesced": self.coalesced,
-            "launched": self.launched,
-        }
+__all__ = ["MISS", "SingleFlightLRU"]

@@ -14,7 +14,7 @@ Client → server::
 
 Server → client::
 
-    {"type": "welcome",    "server": "tflux-serve", "wire": 1}
+    {"type": "welcome",    "server": "tflux-serve", "wire": 2}
     {"type": "accepted",   "batch_id": "b1", "jobs": N}
     {"type": "overloaded", "batch_id": "b1", "queued": n, "limit": m}
     {"type": "result",     "batch_id": "b1", "index": i, "outcome": OUTCOME}
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.exec.pool import JobOutcome, JobSpec
+from repro.exec.pool import JOB_MODES, JobOutcome, JobSpec
 
 __all__ = [
     "WIRE_VERSION",
@@ -52,7 +52,8 @@ __all__ = [
 ]
 
 #: Bump on incompatible message-shape changes (advertised in ``welcome``).
-WIRE_VERSION = 1
+#: Version 2 dropped the ``"evaluate"`` job mode.
+WIRE_VERSION = 2
 
 #: Upper bound on one message line (a large batch or a span-carrying
 #: outcome is far below this; a runaway line is a protocol error).
@@ -152,8 +153,8 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     if label not in sizes:
         raise WireError(f"unknown size {label!r} (have {sorted(sizes)})")
     mode = wire.get("mode", "execute")
-    if mode not in ("execute", "sequential", "evaluate"):
-        raise WireError(f"unknown mode {mode!r}")
+    if mode not in JOB_MODES:
+        raise WireError(f"unknown mode {mode!r} (expected one of {JOB_MODES})")
     check = wire.get("check", "")
     if check not in ("", "races"):
         raise WireError(f"unknown check {check!r} (expected '' or 'races')")

@@ -62,10 +62,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.exec.cache import ResultCache, cache_from_env, spec_digest
+from repro.exec.cache import (
+    MISS,
+    ResultCache,
+    SingleFlightLRU,
+    cache_from_env,
+    spec_digest,
+)
 from repro.exec.pool import JobSpec, pool_context, run_job
 from repro.obs import Counters
-from repro.serve.lru import MISS, SingleFlightLRU
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     WIRE_VERSION,
@@ -379,6 +384,8 @@ class TFluxServer:
                 self._deliver(tenant_key, job, cached, None)
                 continue
             fut, leader = self.lru.claim(job.digest)
+            # Flights resolve only in _compute on this loop thread, so
+            # the callback (and _deliver) runs on this thread too.
             fut.add_done_callback(
                 lambda f, tenant_key=tenant_key, job=job: self._deliver(
                     tenant_key, job, f.result() if f.exception() is None else None,

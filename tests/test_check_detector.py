@@ -228,6 +228,18 @@ def test_both_audits_compose_in_one_invocation(capsys):
     assert "undeclared write" in out
 
 
+def test_tflux_run_runs_both_audits(capsys):
+    # tflux-run shares the audit frontend with ddmcpp: both reports,
+    # each headed by the benchmark label, and a clean exit.
+    from repro.cli import main as tflux_run_main
+
+    assert tflux_run_main(["trapez", "--check-deps", "--check-races"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("trapez (trapez/S/small") == 2
+    assert "deps: clean" in out
+    assert "check: clean" in out
+
+
 def test_fixtures_pass_plain_ddmcpp(capsys):
     # The faults are dynamic: both fixtures are valid DDM programs.
     for name in ("undeclared_write.ddm", "racy_writers.ddm"):

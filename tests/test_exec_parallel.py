@@ -166,11 +166,21 @@ def test_spec_parameters_all_reach_the_digest():
         dict(allow_stealing=True),
         dict(exact_memory=True),
         dict(collect_spans=True),
-        dict(mode="evaluate"),
+        dict(mode="sequential"),
         dict(size=problem_sizes("trapez", "S")["large"]),
     ):
         other = dataclasses.replace(base, **change)
         assert spec_digest(base) != spec_digest(other), change
+
+
+def test_spec_mode_defaults_to_execute_and_is_validated():
+    spec = JobSpec(
+        platform=TFluxHard(), bench="trapez",
+        size=problem_sizes("trapez", "S")["small"], nkernels=4, unroll=4,
+    )
+    assert spec.mode == "execute"
+    with pytest.raises(ValueError, match="unknown mode 'evaluate'"):
+        dataclasses.replace(spec, mode="evaluate")
 
 
 def test_digest_is_stable_across_calls():
@@ -293,7 +303,7 @@ def test_baseline_memo_capacity_bound(monkeypatch):
     for i in range(5):
         fut, owner = pool._BASELINE_MEMO.claim(f"digest{i}")
         assert owner
-        pool._BASELINE_MEMO.fill(f"digest{i}", f"outcome{i}")
+        pool._BASELINE_MEMO.resolve(f"digest{i}", f"outcome{i}")
         assert fut.result() == f"outcome{i}"
     assert len(pool._BASELINE_MEMO) == 2
     assert "digest4" in pool._BASELINE_MEMO
@@ -312,11 +322,11 @@ def test_baseline_memo_failure_not_cached():
     assert owner
     fut2, owner2 = pool._BASELINE_MEMO.claim("d")
     assert not owner2 and fut2 is fut
-    pool._BASELINE_MEMO.fail("d", RuntimeError("sim died"))
+    pool._BASELINE_MEMO.reject("d", RuntimeError("sim died"))
     with pytest.raises(RuntimeError):
         fut2.result()
     assert "d" not in pool._BASELINE_MEMO
     fut3, owner3 = pool._BASELINE_MEMO.claim("d")
     assert owner3 and fut3 is not fut
-    pool._BASELINE_MEMO.fill("d", "ok")
+    pool._BASELINE_MEMO.resolve("d", "ok")
     clear_baseline_memo()

@@ -14,7 +14,12 @@ import pytest
 
 from repro.exec import ResultCache, run_job
 from repro.serve import ServeClient, ServeConfig, job_to_wire, serve_in_thread
-from repro.serve.protocol import job_from_wire, outcome_to_wire
+from repro.serve.protocol import (
+    WIRE_VERSION,
+    WireError,
+    job_from_wire,
+    outcome_to_wire,
+)
 
 #: Two distinct cheap cells (trapez small) — the workhorse grid.
 GRID = [
@@ -141,6 +146,18 @@ class _BrokenCache:
 
     def publish_counters(self, counters, prefix="exec.cache"):
         pass
+
+
+def test_wire_rejects_the_removed_evaluate_mode():
+    """Wire version 2 dropped the legacy combined mode; the error names
+    the modes that remain."""
+    assert WIRE_VERSION == 2
+    with pytest.raises(WireError, match="'execute', 'sequential'"):
+        job_from_wire({"bench": "trapez", "mode": "evaluate"})
+    assert job_from_wire({"bench": "trapez"}).mode == "execute"
+    assert job_from_wire({"bench": "trapez", "mode": "sequential"}).mode == (
+        "sequential"
+    )
 
 
 def test_job_failure_streams_job_error_and_is_not_cached(spawn):
