@@ -21,7 +21,7 @@ import os
 
 from repro.apps import BENCHMARKS, problem_sizes
 from repro.exec import ENV_CACHE_DIR, ENV_JOBS, EvalRequest, evaluate_many
-from repro.net.topology import FatTree, OversubscribedSpine
+from repro.net.topology import TOPOLOGIES, cluster_size_of
 from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
 from repro.sim.capability import MAX_CORES, MAX_NODES
 
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--topology",
-        choices=("mesh", "fattree", "spine"),
+        choices=tuple(TOPOLOGIES),
         default="mesh",
         help="fabric wiring between dist nodes (mesh = dedicated pairwise "
         "links; fattree = pods of 8 with full bisection; spine = pods of 8 "
@@ -160,17 +160,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.topology != "mesh" and args.platform != "dist":
         parser.error("--topology is only meaningful with --platform dist")
     if args.platform == "dist":
-        topology = {
-            "mesh": None,
-            "fattree": FatTree(pod_size=8),
-            "spine": OversubscribedSpine(pod_size=8),
-        }[args.topology]
-        cluster = args.cluster or None
         try:
             # DirectoryCapacityError (a ValueError) surfaces the two-level
             # directory limits — 64 nodes x 64 cores — in the CLI error.
             platform = TFluxDist(
-                nnodes=args.nodes or 2, topology=topology, cluster_size=cluster
+                nnodes=args.nodes or 2,
+                topology=TOPOLOGIES[args.topology],
+                cluster_size=cluster_size_of(args.cluster),
             )
         except ValueError as exc:
             parser.error(str(exc))

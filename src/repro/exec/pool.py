@@ -129,6 +129,10 @@ class JobSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {JOB_MODES}"
             )
+        if self.unroll < 1:
+            raise ValueError(f"unroll must be >= 1, got {self.unroll}")
+        if self.max_threads < 1:
+            raise ValueError(f"max_threads must be >= 1, got {self.max_threads}")
 
 
 @dataclass

@@ -36,11 +36,19 @@ them into run keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.sim.capability import check_nodes
 
-__all__ = ["Topology", "FullMesh", "FatTree", "OversubscribedSpine", "LinkId"]
+__all__ = [
+    "Topology",
+    "FullMesh",
+    "FatTree",
+    "OversubscribedSpine",
+    "LinkId",
+    "TOPOLOGIES",
+    "cluster_size_of",
+]
 
 #: A link identity: a small hashable tuple naming one directed resource.
 LinkId = Tuple
@@ -159,3 +167,17 @@ class OversubscribedSpine(FatTree):
 
     def describe(self) -> str:
         return f"spine(pod={self.pod_size},oversub={self.oversubscription})"
+
+
+#: The wirings the frontends (``tflux-run --topology``, serve wire jobs)
+#: offer by name; ``None`` is TFluxDist's default :class:`FullMesh`.
+TOPOLOGIES: dict[str, Optional[Topology]] = {
+    "mesh": None,
+    "fattree": FatTree(pod_size=8),
+    "spine": OversubscribedSpine(pod_size=8),
+}
+
+
+def cluster_size_of(cluster: int) -> Optional[int]:
+    """The frontends' relay cluster size: 0 means one cluster (``None``)."""
+    return cluster or None

@@ -77,6 +77,16 @@ class Platform:
         """Compute kernels available on this platform."""
         return self.machine.max_kernels
 
+    def check_kernels(self, nkernels: int) -> None:
+        """Raise ``ValueError`` unless *nkernels* Kernels fit this platform."""
+        if nkernels < 1:
+            raise ValueError(f"need at least one kernel ({nkernels} requested)")
+        if nkernels > self.max_kernels:
+            raise ValueError(
+                f"{self.name} offers at most {self.max_kernels} kernels "
+                f"({nkernels} requested)"
+            )
+
     # -- execution ------------------------------------------------------------------
     def execute(
         self,
@@ -94,11 +104,7 @@ class Platform:
         keep per-DThread spans, and a *placement* policy to override the
         default contiguous DThread→kernel assignment.
         """
-        if nkernels > self.max_kernels:
-            raise ValueError(
-                f"{self.name} offers at most {self.max_kernels} kernels "
-                f"({nkernels} requested)"
-            )
+        self.check_kernels(nkernels)
         runtime = SimulatedRuntime(
             program,
             self.machine,

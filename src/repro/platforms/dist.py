@@ -24,21 +24,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.program import DDMProgram
 from repro.net.message import NetParams
 from repro.net.topology import Topology
-from repro.obs import Probe
 from repro.platforms.base import Platform
-from repro.runtime.simdriver import SimulatedRuntime
-from repro.runtime.stats import RunResult
 from repro.sim.capability import check_nodes
 from repro.sim.engine import Engine
 from repro.sim.machine import MachineConfig, XEON_8
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.dist import DistTSUAdapter
 from repro.tsu.group import TSUGroup
-from repro.tsu.hier import HierDistTSUAdapter
-from repro.tsu.policy import PlacementPolicy, contiguous_placement
 from repro.tsu.software import SoftTSUCosts
 
 __all__ = ["TFluxDist"]
@@ -48,10 +42,9 @@ class TFluxDist(Platform):
     """Up to ``6 * nnodes`` compute kernels across message-passing nodes.
 
     *topology* selects the fabric wiring (default
-    :class:`~repro.net.topology.FullMesh`); *cluster_size* switches the
-    TSU fan-out to the hierarchical cluster-head relay of
-    :class:`~repro.tsu.hier.HierDistTSUAdapter` (``None`` keeps the flat
-    point-to-point adapter).
+    :class:`~repro.net.topology.FullMesh`); *cluster_size* relays the
+    TSU fan-out through cluster heads of that many nodes (``None`` keeps
+    one cluster: flat point-to-point fan-out; see :mod:`repro.tsu.dist`).
     """
 
     target = "N"
@@ -68,6 +61,8 @@ class TFluxDist(Platform):
         # The fused machine must fit the two-level sharer directory
         # (64 nodes x 64 cores); one check covers both axes.
         check_nodes(nnodes, cores_per_node=machine.ncores, what="TFluxDist")
+        if cluster_size is not None and cluster_size < 1:
+            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         super().__init__(machine.with_cores(machine.ncores * nnodes), name="tfluxdist")
         self.nnodes = nnodes
         self.node_machine = machine
@@ -82,58 +77,18 @@ class TFluxDist(Platform):
         per_node = self.node_machine.ncores - self.node_machine.os_reserved_cores - 1
         return per_node * self.nnodes
 
-    def adapter_factory(self) -> Callable[[Engine, TSUGroup], ProtocolAdapter]:
-        nnodes, costs, net = self.nnodes, self.costs, self.net
-        topology, cluster = self.topology, self.cluster_size
-        if cluster is not None:
-            return lambda engine, tsu: HierDistTSUAdapter(
-                engine, tsu, nnodes=nnodes, costs=costs, net_params=net,
-                topology=topology, cluster_size=cluster,
-            )
-        return lambda engine, tsu: DistTSUAdapter(
-            engine, tsu, nnodes=nnodes, costs=costs, net_params=net,
-            topology=topology,
-        )
-
-    def execute(
-        self,
-        program: DDMProgram,
-        nkernels: int,
-        tsu_capacity: Optional[int] = None,
-        exact_memory: bool = False,
-        allow_stealing: bool = False,
-        placement: PlacementPolicy = contiguous_placement,
-        tracer: Optional[Probe] = None,
-    ) -> RunResult:
-        if allow_stealing and self.nnodes > 1:
-            raise ValueError(
-                "tfluxdist cannot steal across nodes; use allow_stealing=False"
-            )
-        if nkernels > self.max_kernels:
-            raise ValueError(
-                f"{self.name} offers at most {self.max_kernels} kernels "
-                f"({nkernels} requested)"
-            )
+    def check_kernels(self, nkernels: int) -> None:
+        super().check_kernels(nkernels)
         if nkernels < self.nnodes:
             raise ValueError(
                 f"need at least one kernel per node ({self.nnodes} nodes, "
                 f"{nkernels} kernels requested)"
             )
-        runtime = SimulatedRuntime(
-            program,
-            self.machine,
-            nkernels=nkernels,
-            adapter_factory=self.adapter_factory(),
-            tsu_capacity=tsu_capacity,
-            placement=placement,
-            exact_memory=exact_memory,
-            allow_stealing=allow_stealing,
-            platform_name=self.name,
-            tracer=tracer,
+
+    def adapter_factory(self) -> Callable[[Engine, TSUGroup], ProtocolAdapter]:
+        nnodes, costs, net = self.nnodes, self.costs, self.net
+        topology, cluster = self.topology, self.cluster_size
+        return lambda engine, tsu: DistTSUAdapter(
+            engine, tsu, nnodes=nnodes, costs=costs, net_params=net,
+            topology=topology, cluster_size=cluster,
         )
-        # The adapter is built before the driver's memory system exists;
-        # wire the data plane in now that both are alive.
-        runtime.adapter.attach_memory(
-            runtime.memsys, self.machine.l1.line_size, program.env.regions
-        )
-        return runtime.run()

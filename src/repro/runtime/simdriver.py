@@ -88,6 +88,9 @@ class SimulatedRuntime:
         self.adapter = factory(self.engine, self.tsu)
         self.adapter.wake_kernels = self._wake
         self.memsys = machine.memory_system(program.env.regions, exact=exact_memory)
+        self.adapter.attach_memory(
+            self.memsys, machine.l1.line_size, program.env.regions
+        )
         # Physical-memory accounting: the PS3's 256 MB XDR is small enough
         # to matter (paper §6.3); every shared region must fit.
         self.main_memory = MainMemory(

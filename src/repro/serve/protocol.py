@@ -104,7 +104,7 @@ _JOB_DEFAULTS = {
 
 
 def _build_platform(wire: dict[str, Any]):
-    from repro.net.topology import FatTree, OversubscribedSpine
+    from repro.net.topology import TOPOLOGIES, cluster_size_of
     from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
 
     name = wire.get("platform", _JOB_DEFAULTS["platform"])
@@ -113,19 +113,14 @@ def _build_platform(wire: dict[str, Any]):
         return simple[name]()
     if name != "dist":
         raise WireError(f"unknown platform {name!r}")
-    topologies = {
-        "mesh": None,
-        "fattree": FatTree(pod_size=8),
-        "spine": OversubscribedSpine(pod_size=8),
-    }
     topology = wire.get("topology", "mesh")
-    if topology not in topologies:
+    if topology not in TOPOLOGIES:
         raise WireError(f"unknown topology {topology!r}")
     try:
         return TFluxDist(
             nnodes=int(wire.get("nodes", _JOB_DEFAULTS["nodes"])),
-            topology=topologies[topology],
-            cluster_size=int(wire.get("cluster", 0)) or None,
+            topology=TOPOLOGIES[topology],
+            cluster_size=cluster_size_of(int(wire.get("cluster", 0))),
         )
     except ValueError as exc:  # DirectoryCapacityError included
         raise WireError(str(exc)) from None
@@ -134,8 +129,9 @@ def _build_platform(wire: dict[str, Any]):
 def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     """Turn a declarative wire job into a picklable :class:`JobSpec`.
 
-    Raises :class:`WireError` on any unknown benchmark/platform/size or
-    malformed field — admission rejects the batch before anything runs.
+    Raises :class:`WireError` on any unknown benchmark/platform/size,
+    malformed field or kernel count the platform cannot run — admission
+    rejects the batch before anything runs.
     """
     import repro.apps  # benchmark registry
 
@@ -160,7 +156,7 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
         raise WireError(f"unknown check {check!r} (expected '' or 'races')")
     tsu_capacity = wire.get("tsu_capacity")
     try:
-        return JobSpec(
+        spec = JobSpec(
             platform=platform,
             bench=bench,
             size=sizes[label],
@@ -176,8 +172,12 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
             capture_errors=bool(wire.get("capture_errors", False)),
             check=check,
         )
+        # The sequential baseline runs on one core whatever the platform.
+        if spec.mode == "execute":
+            platform.check_kernels(spec.nkernels)
     except (TypeError, ValueError) as exc:
         raise WireError(f"malformed job field: {exc}") from None
+    return spec
 
 
 def job_to_wire(

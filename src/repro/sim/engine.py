@@ -361,10 +361,6 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._queue)
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
 
 class Engine:
     """The simulation kernel: virtual clock plus an event heap.

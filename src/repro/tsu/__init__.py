@@ -22,10 +22,12 @@ ready DThreads to querying Kernels (paper §2, §3.3).
 * :mod:`repro.tsu.software` — the TFluxSoft cost adapter: kernels push
   completions into the TUB; a TSU Emulator thread on a dedicated core
   drains it.
-* :mod:`repro.tsu.multigroup` — the §4.1 multiple-TSU-Groups extension.
-* :mod:`repro.tsu.dist` — the TFluxDist cost adapter: one software-TSU
-  shard per node, remote Ready-Count updates as :mod:`repro.net`
-  messages.
+* :mod:`repro.tsu.multigroup` — the §4.1 multiple-TSU-Groups extension:
+  the hardware adapter with *G* devices plus inter-group transfers.
+* :mod:`repro.tsu.dist` — the TFluxDist cost adapter: the software
+  adapter with one shard per node plus what crosses nodes (remote
+  Ready-Count updates as :mod:`repro.net` messages, relayed through
+  cluster heads).
 
 (The TFluxCell cost adapter lives with its substrate in
 :mod:`repro.cell.adapter`.)
@@ -35,7 +37,7 @@ from repro.tsu.group import Fetch, FetchKind, TSUGroup
 from repro.tsu.dist import DistTSUAdapter
 from repro.tsu.multigroup import MultiGroupHardwareAdapter
 from repro.tsu.sm import SynchronizationMemory, ThreadEntry
-from repro.tsu.tkt import NodeThreadToKernelTable, ThreadToKernelTable
+from repro.tsu.tkt import ThreadToKernelTable
 from repro.tsu.tub import ThreadUpdateBuffer
 from repro.tsu.policy import contiguous_placement, round_robin_placement
 
@@ -47,7 +49,6 @@ __all__ = [
     "MultiGroupHardwareAdapter",
     "SynchronizationMemory",
     "ThreadEntry",
-    "NodeThreadToKernelTable",
     "ThreadToKernelTable",
     "ThreadUpdateBuffer",
     "contiguous_placement",

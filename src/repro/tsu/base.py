@@ -100,7 +100,12 @@ class ProtocolAdapter:
         base adapter has nothing to report.
         """
 
-    # -- optional memory-pricing hook ------------------------------------------
+    # -- optional memory-pricing hooks -----------------------------------------
+    def attach_memory(self, memsys, line_size: int, regions) -> None:
+        """Called by :class:`~repro.runtime.simdriver.SimulatedRuntime` once
+        its memory system exists (the adapter is built first).  No-op
+        here; TFluxDist wires its cross-node operand forwarding in."""
+
     def thread_memory_cycles(
         self, kernel: int, instance: DThreadInstance, summary: AccessSummary
     ) -> Optional[int]:

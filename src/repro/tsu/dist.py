@@ -25,34 +25,44 @@ documented :mod:`repro.tsu.multigroup` precedent:
   :class:`~repro.net.ownermap.RegionOwnerMap` and the destination NIC's
   ingest clock before the DThread can run.
 
-With one node nothing is ever remote and every path above collapses to
-the exact :class:`~repro.tsu.software.SoftwareTSUAdapter` code —
+The per-node TUB shards, emulators, fetch and TUB push are
+:class:`~repro.tsu.software.SoftwareTSUAdapter`'s; this adapter adds only
+what crosses nodes: remote post-processing, phase broadcasts, the
+TERMINATE/ACK barrier and operand pulls.  With one node nothing is ever
+remote and every path collapses to the software adapter's —
 ``tests/test_dist_differential.py`` pins the cycle counts bit-identical.
+
+Fan-out is relayed through *clusters* of ``cluster_size`` nodes (default:
+one cluster spanning every node, i.e. point-to-point).  A sender emits
+one aggregated message per remote cluster to its **head** (lowest node),
+which re-sends to its members on arrival, so the source NIC serialises
+``nclusters - 1`` messages instead of ``nnodes - 1`` — the sender's NIC,
+not the fabric, is the wall at 64 nodes, the §4.1 "multiple TSU Groups"
+observation one level up.  Only wake signals ride the relay (a relayed
+kernel may wake one hop later; ``has_work``'s re-check keeps that a
+timing effect); the TERMINATE/ACK correctness barrier stays
+point-to-point.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Generator, Optional
 
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
-from repro.core.dynamic import Subflow
 from repro.net.fabric import Network
 from repro.net.message import INLET_ENTRY_BYTES, UPDATE_BYTES, Message, MsgKind, NetParams
 from repro.net.ownermap import RegionOwnerMap
 from repro.net.topology import Topology
 from repro.sim.accesses import AccessSummary
-from repro.sim.engine import Engine, Event, Resource, fastpath_enabled
-from repro.tsu.base import ProtocolAdapter
+from repro.sim.engine import Engine
 from repro.tsu.group import TSUGroup
-from repro.tsu.software import SoftTSUCosts
-from repro.tsu.tkt import NodeThreadToKernelTable
+from repro.tsu.software import SoftTSUCosts, SoftwareTSUAdapter
 
 __all__ = ["DistTSUAdapter"]
 
 
-class DistTSUAdapter(ProtocolAdapter):
+class DistTSUAdapter(SoftwareTSUAdapter):
     """One software-TSU shard per node; remote updates ride the network."""
 
     def __init__(
@@ -63,125 +73,53 @@ class DistTSUAdapter(ProtocolAdapter):
         costs: SoftTSUCosts = SoftTSUCosts(),
         net_params: Optional[NetParams] = None,
         topology: Optional[Topology] = None,
+        cluster_size: Optional[int] = None,
     ) -> None:
-        super().__init__(engine, tsu)
-        if not 1 <= nnodes <= tsu.nkernels:
-            raise ValueError(
-                f"need 1 <= nnodes <= nkernels, got nnodes={nnodes} "
-                f"nkernels={tsu.nkernels}"
-            )
         if nnodes > 1 and tsu.allow_stealing:
             raise ValueError(
                 "work stealing pops remote SMs synchronously and cannot be "
                 "modelled across nodes; use allow_stealing=False for nnodes > 1"
             )
         self.nnodes = nnodes
-        self.costs = costs
+        super().__init__(engine, tsu, costs)
         self.net = Network(engine, nnodes, net_params or NetParams(), topology)
-        self._fast = fastpath_enabled()
-        self._node_of_kernel = [k * nnodes // tsu.nkernels for k in range(tsu.nkernels)]
-        self._node_kernels: list[list[int]] = [[] for _ in range(nnodes)]
-        for k, n in enumerate(self._node_of_kernel):
-            self._node_kernels[n].append(k)
-        # Per-node software-TSU shard state (mirrors SoftwareTSUAdapter).
-        self._tub_slots = [
-            Resource(engine, capacity=costs.tub_segments, name=f"tub:{n}")
-            for n in range(nnodes)
-        ]
-        self._queues: list[deque[tuple[int, int, object]]] = [
-            deque() for _ in range(nnodes)
-        ]
-        self._emulator_wake: list[Optional[Event]] = [None] * nnodes
-        self._emulator_started = False
-        self._shutdown = False
-        self.node_tkt: Optional[NodeThreadToKernelTable] = None
-        # Cross-node memory pricing, wired by the platform after the
-        # driver builds its memory system (the adapter is constructed
-        # first — see SimulatedRuntime.__init__).
+        #: Nodes per relay cluster (``None``: one cluster, flat fan-out).
+        self.cluster_size = cluster_size if cluster_size is not None else nnodes
+        # Cross-node memory pricing, wired in by SimulatedRuntime once its
+        # memory system exists (see attach_memory).
         self._memsys = None
         self._ownermap: Optional[RegionOwnerMap] = None
         # Statistics (plain ints on the hot path; see publish_counters).
-        self.emulator_busy_cycles = 0
-        self.emulator_items = 0
-        self.emulator_updates = 0
-        self.tub_pushes = 0
-        self.fast_pushes = 0
         self.remote_updates = 0
         self.local_updates = 0
+        self.relayed_messages = 0
 
     def attach_memory(self, memsys, line_size: int, regions) -> None:
-        """Enable cross-node data forwarding (called by TFluxDist)."""
+        """Enable cross-node data forwarding."""
         self._memsys = memsys
         self._ownermap = RegionOwnerMap(regions, line_size, self.nnodes)
 
     def publish_counters(self, counters) -> None:
-        emu = counters.scope("emulator")
-        emu.inc("busy_cycles", self.emulator_busy_cycles)
-        emu.inc("items", self.emulator_items)
-        emu.inc("updates", self.emulator_updates)
-        counters.inc("tub.pushes", self.tub_pushes)
-        counters.inc("engine.coalesced_pushes", self.fast_pushes)
+        counters.inc("net.relayed_messages", self.relayed_messages)
+        super().publish_counters(counters)
         counters.inc("net.remote_updates", self.remote_updates)
         counters.inc("net.local_updates", self.local_updates)
         self.net.publish_counters(counters)
-
-    # -- emulator lifecycle ------------------------------------------------
-    def start(self) -> None:
-        """Launch one TSU-Emulator process per node (idempotent)."""
-        if not self._emulator_started:
-            self._emulator_started = True
-            for node in range(self.nnodes):
-                self.engine.process(
-                    self._emulator_proc(node), name=f"tsu-emulator:{node}"
-                )
-
-    def shutdown(self) -> None:
-        self._shutdown = True
-        for node in range(self.nnodes):
-            self._kick_emulator(node)
-
-    def _kick_emulator(self, node: int) -> None:
-        wake = self._emulator_wake[node]
-        if wake is not None and not wake.triggered:
-            wake.succeed()
-
-    def _emulator_proc(self, node: int) -> Generator:
-        """One node's dedicated-core loop: drain its TUB, post-process."""
-        costs = self.costs
-        queue = self._queues[node]
-        while True:
-            if queue:
-                kernel, local_iid, outcome = queue.popleft()
-                nconsumers = len(self.tsu.current_block.consumers[local_iid])
-                busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
-                yield busy
-                self.emulator_busy_cycles += busy
-                self.emulator_items += 1
-                self.emulator_updates += nconsumers
-                self._post_process(node, kernel, local_iid, outcome)
-            elif self._shutdown:
-                return
-            else:
-                wake = Event(self.engine, name="tub-nonempty")
-                self._emulator_wake[node] = wake
-                yield wake
-                self._emulator_wake[node] = None
 
     # -- post-processing ---------------------------------------------------
     def _post_process(
         self, node: int, kernel: int, local_iid: int, outcome: object = None
     ) -> None:
         if self.nnodes == 1:
-            # The exact single-node code path: base wake semantics,
-            # bit-identical to SoftwareTSUAdapter.
-            self._apply_thread_completion(kernel, local_iid, outcome)
+            super()._post_process(node, kernel, local_iid, outcome)
             return
-        tkt = self.node_tkt
+        tkt = self.tsu.tkt
         assert tkt is not None
+        node_of = self._node_of_kernel
         consumers = self.tsu.current_block.consumers[local_iid]
         upd_by_node: dict[int, int] = {}
         for c in consumers:
-            t = tkt.node_of(c)
+            t = node_of[tkt.kernel_of(c)]
             upd_by_node[t] = upd_by_node.get(t, 0) + 1
         for t, n in upd_by_node.items():
             if t == node:
@@ -194,12 +132,12 @@ class DistTSUAdapter(ProtocolAdapter):
 
         ready_by_node: dict[int, set[int]] = {}
         for c in newly_ready:
-            t, k = tkt.placement_of(c)
-            ready_by_node.setdefault(t, set()).add(k)
+            k = tkt.kernel_of(c)
+            ready_by_node.setdefault(node_of[k], set()).add(k)
 
         # Local wake now; remote wakes ride READY_UPDATE messages.
         if drained:
-            self.wake_kernels(set(self._node_kernels[node]))
+            self._wake_node(node)
         elif node in ready_by_node:
             self.wake_kernels(ready_by_node[node])
 
@@ -212,6 +150,14 @@ class DistTSUAdapter(ProtocolAdapter):
         }
         payloads = {t: max(upd_by_node.get(t, 0), 1) * UPDATE_BYTES for t in targets}
         self._fanout_ready(node, sorted(targets), payloads, wake_sets)
+
+    # -- relayed fan-out ---------------------------------------------------
+    def _cluster(self, node: int) -> int:
+        return node // self.cluster_size
+
+    def _members(self, cluster: int) -> range:
+        head = cluster * self.cluster_size
+        return range(head, min(head + self.cluster_size, self.nnodes))
 
     def _send_ready(
         self, src: int, dst: int, payload_bytes: int, wake_set: set[int]
@@ -232,118 +178,116 @@ class DistTSUAdapter(ProtocolAdapter):
         payloads: dict[int, int],
         wake_sets: dict[int, set[int]],
     ) -> None:
-        """Deliver Ready-Count updates (and their wake signals) to *targets*.
-
-        The flat adapter sends one point-to-point message per target; the
-        hierarchical adapter (:mod:`repro.tsu.hier`) overrides this to
-        relay through cluster-head nodes.  Timing-only either way: the
-        functional decrements already happened in ``complete_thread``.
-        """
+        """Deliver Ready-Count updates (and their wake signals) to *targets*:
+        point-to-point inside the sender's cluster, one aggregate per
+        remote cluster to its head.  Timing-only: the functional
+        decrements already happened in ``_post_process``."""
+        home = self._cluster(node)
+        by_cluster: dict[int, list[int]] = {}
         for t in targets:
-            self._send_ready(node, t, payloads[t], wake_sets[t])
+            by_cluster.setdefault(self._cluster(t), []).append(t)
+        for cluster, members in sorted(by_cluster.items()):
+            if cluster == home:
+                for t in members:
+                    self._send_ready(node, t, payloads[t], wake_sets[t])
+                continue
+            head = self._members(cluster)[0]
+            aggregate = sum(payloads[t] for t in members)
+
+            def relay(msg: Message, head=head, members=tuple(members)) -> None:
+                for t in members:
+                    if t == head:
+                        if wake_sets[t]:
+                            self.wake_kernels(wake_sets[t])
+                    else:
+                        self.relayed_messages += 1
+                        self._send_ready(head, t, payloads[t], wake_sets[t])
+
+            self.net.transmit(
+                Message(
+                    MsgKind.READY_UPDATE,
+                    src=node,
+                    dst=head,
+                    payload_bytes=max(aggregate, UPDATE_BYTES),
+                ),
+                on_deliver=relay,
+            )
+
+    def _send_wakeup(
+        self, src: int, dst: int, kind: MsgKind, payload_bytes: int
+    ) -> None:
+        self.net.transmit(
+            Message(kind, src=src, dst=dst, payload_bytes=payload_bytes),
+            on_deliver=lambda msg, ks=frozenset(self._node_kernels[dst]): (
+                self.wake_kernels(set(ks))
+            ),
+        )
 
     def _broadcast(self, node: int, kind: MsgKind, payload_bytes: int) -> None:
         """Send *kind* from *node* to every other node, waking each on
-        arrival (Inlet/Outlet phase-change fan-out)."""
-        for t in range(self.nnodes):
-            if t == node:
+        arrival (Inlet/Outlet phase-change fan-out), relayed per cluster."""
+        home = self._cluster(node)
+        nclusters = -(-self.nnodes // self.cluster_size)
+        for cluster in range(nclusters):
+            members = self._members(cluster)
+            if cluster == home:
+                for t in members:
+                    if t != node:
+                        self._send_wakeup(node, t, kind, payload_bytes)
                 continue
+            head = members[0]
+
+            def relay(msg: Message, head=head, others=members[1:]) -> None:
+                self.wake_kernels(set(self._node_kernels[head]))
+                for t in others:
+                    self.relayed_messages += 1
+                    self._send_wakeup(head, t, msg.kind, msg.payload_bytes)
+
             self.net.transmit(
-                Message(kind, src=node, dst=t, payload_bytes=payload_bytes),
-                on_deliver=lambda msg, ks=frozenset(self._node_kernels[t]): (
-                    self.wake_kernels(set(ks))
-                ),
+                Message(kind, src=node, dst=head, payload_bytes=payload_bytes),
+                on_deliver=relay,
             )
 
     # -- protocol costs ----------------------------------------------------
-    def fetch(self, kernel: int) -> Generator:
-        yield self.costs.fetch_cycles
-        return self.tsu.fetch(kernel)
-
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
-        yield self.costs.inlet_per_entry * max(block.size, 1)
-        self.tsu.complete_inlet(kernel)
-        assert self.tsu.tkt is not None
-        self.node_tkt = NodeThreadToKernelTable.from_table(self.tsu.tkt, self.nnodes)
-        if self.nnodes == 1:
-            self.wake_kernels()
-            return
-        node = self._node_of_kernel[kernel]
-        self.wake_kernels(set(self._node_kernels[node]))
-        self._broadcast(
-            node, MsgKind.INLET_BCAST, INLET_ENTRY_BYTES * max(block.size, 1)
-        )
-
-    def resolve_dynamic(
-        self, kernel: int, local_iid: int, outcome: object
-    ) -> Generator:
-        # Same local pricing as TFluxSoft: the spawn descriptor is a
-        # second TUB-sized push on the completing kernel's node.  Remote
-        # nodes learn the new block's metadata through the ordinary
-        # INLET_BCAST when it loads — already priced in complete_inlet.
-        if isinstance(outcome, Subflow):
-            yield self.costs.tub_push_cycles
-
-    def complete_thread(
-        self,
-        kernel: int,
-        local_iid: int,
-        instance: DThreadInstance,
-        outcome: object = None,
-    ) -> Generator:
-        # Push into the *node-local* TUB — same segment try-lock protocol
-        # (and fast path) as SoftwareTSUAdapter.complete_thread.
-        node = self._node_of_kernel[kernel]
-        slots = self._tub_slots[node]
-        if self._fast and slots.try_acquire():
-            slots.release_at(self.engine.now + self.costs.tub_push_cycles)
-            yield self.costs.tub_push_cycles
-            self.fast_pushes += 1
-        else:
-            grant = slots.request()
-            yield grant
-            try:
-                yield self.costs.tub_push_cycles
-            finally:
-                slots.release()
-        self._queues[node].append((kernel, local_iid, outcome))
-        self.tub_pushes += 1
-        self._kick_emulator(node)
+        yield from super().complete_inlet(kernel, block)
+        if self.nnodes > 1:
+            self._broadcast(
+                self._node_of_kernel[kernel],
+                MsgKind.INLET_BCAST,
+                INLET_ENTRY_BYTES * max(block.size, 1),
+            )
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
-        yield self.costs.outlet_cycles
-        self.tsu.complete_outlet(kernel)
+        yield from super().complete_outlet(kernel, block)
         if self.nnodes == 1:
-            self.wake_kernels()
             return
         node = self._node_of_kernel[kernel]
-        self.wake_kernels(set(self._node_kernels[node]))
-        if self.tsu.is_exited():
-            # Distributed termination barrier: the node that ran the last
-            # Outlet tells every other node to drain; it may not exit
-            # until all have acknowledged (TERMINATE/ACK round trips).
-            acks = []
-            for t in range(self.nnodes):
-                if t == node:
-                    continue
-                ack = self.engine.event(name=f"term-ack:{t}")
-                acks.append(ack)
-
-                def deliver_terminate(msg: Message, t=t, ack=ack) -> None:
-                    self.wake_kernels(set(self._node_kernels[t]))
-                    self.net.transmit(
-                        Message(MsgKind.ACK, src=t, dst=node),
-                        on_deliver=lambda m, ack=ack: ack.succeed(),
-                    )
-
-                self.net.transmit(
-                    Message(MsgKind.TERMINATE, src=node, dst=t),
-                    on_deliver=deliver_terminate,
-                )
-            if acks:
-                yield self.engine.all_of(acks, name="termination-barrier")
-        else:
+        if not self.tsu.is_exited():
             self._broadcast(node, MsgKind.OUTLET_BCAST, 0)
+            return
+        # Distributed termination barrier: the node that ran the last
+        # Outlet tells every other node to drain; it may not exit until
+        # all have acknowledged (TERMINATE/ACK round trips).
+        acks = []
+        for t in range(self.nnodes):
+            if t == node:
+                continue
+            ack = self.engine.event(name=f"term-ack:{t}")
+            acks.append(ack)
+
+            def deliver_terminate(msg: Message, t=t, ack=ack) -> None:
+                self.wake_kernels(set(self._node_kernels[t]))
+                self.net.transmit(
+                    Message(MsgKind.ACK, src=t, dst=node),
+                    on_deliver=lambda m, ack=ack: ack.succeed(),
+                )
+
+            self.net.transmit(
+                Message(MsgKind.TERMINATE, src=node, dst=t),
+                on_deliver=deliver_terminate,
+            )
+        yield self.engine.all_of(acks, name="termination-barrier")
 
     # -- memory pricing ----------------------------------------------------
     def thread_memory_cycles(

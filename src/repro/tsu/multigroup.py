@@ -28,22 +28,23 @@ traffic.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
-from repro.core.dynamic import Subflow
 from repro.sim.engine import Engine
-from repro.sim.interconnect import SystemBus
-from repro.sim.mmi import InflightGate, MemoryMappedInterface
-from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
+from repro.tsu.hardware import HardwareTSUAdapter
 
 __all__ = ["MultiGroupHardwareAdapter"]
 
 
-class MultiGroupHardwareAdapter(ProtocolAdapter):
-    """TFluxHard with *n_groups* hardware TSU Group devices."""
+class MultiGroupHardwareAdapter(HardwareTSUAdapter):
+    """TFluxHard with *n_groups* hardware TSU Group devices.
+
+    The devices, their shared in-flight gate and the per-kernel device
+    lookup are :class:`~repro.tsu.hardware.HardwareTSUAdapter`'s; this
+    class adds the inter-group Ready-Count transfer.
+    """
 
     def __init__(
         self,
@@ -54,90 +55,30 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
         l1_access_cycles: int = 2,
         intergroup_latency: int = 20,
     ) -> None:
-        super().__init__(engine, tsu)
-        if n_groups < 1:
-            raise ValueError("need at least one TSU group")
-        if n_groups > tsu.nkernels:
-            raise ValueError("more TSU groups than kernels is pointless")
         self.n_groups = n_groups
+        super().__init__(engine, tsu, tsu_processing_cycles, l1_access_cycles)
         self.intergroup_latency = intergroup_latency
-        # Each group device sits on its own network segment with its own
-        # command port — but all devices front the *same* functional TSU,
-        # so they share one in-flight gate: the DES fast path may only
-        # coalesce an op that is alone in front of the TSU, not merely
-        # alone on its own device (a sibling device's mutation landing in
-        # the window would otherwise be observed at a different logical
-        # instant than on the eager path).
-        self.buses = [SystemBus(engine) for _ in range(n_groups)]
-        gate = InflightGate()
-        self.mmis = [
-            MemoryMappedInterface(
-                engine,
-                bus,
-                tsu_processing_cycles=tsu_processing_cycles,
-                l1_access_cycles=l1_access_cycles,
-                inflight=gate,
-            )
-            for bus in self.buses
-        ]
         self.intergroup_transfers = 0
 
     def publish_counters(self, counters) -> None:
         counters.inc("tsu.intergroup_transfers", self.intergroup_transfers)
-        mmi = counters.scope("mmi")
-        mmi.inc("commands", sum(m.commands for m in self.mmis))
-        mmi.inc("queries", sum(m.queries for m in self.mmis))
-        # Each group's MMI coalesces ops that were alone in front of the
-        # shared TSU (the in-flight gate spans all group devices).  The
-        # statistics live under engine.* — the one namespace allowed to
-        # differ between TFLUX_FASTPATH on and off.
-        engine = counters.scope("engine")
-        engine.inc("coalesced_commands", sum(m.fast_commands for m in self.mmis))
-        engine.inc("coalesced_queries", sum(m.fast_queries for m in self.mmis))
+        super().publish_counters(counters)
 
-    # -- partitioning -----------------------------------------------------------
     def group_of_kernel(self, kernel: int) -> int:
         """Static kernel -> TSU group partition (contiguous blocks)."""
-        return kernel * self.n_groups // self.tsu.nkernels
-
-    def _mmi(self, kernel: int) -> MemoryMappedInterface:
-        return self.mmis[self.group_of_kernel(kernel)]
+        return self._group_of_kernel[kernel]
 
     def _cross_group_updates(self, kernel: int, local_iid: int) -> int:
         """Consumers of *local_iid* living in other groups' SMs."""
         tkt = self.tsu.tkt
         if tkt is None:
             return 0
-        my_group = self.group_of_kernel(kernel)
-        count = 0
-        for consumer in self.tsu.current_block.consumers[local_iid]:
-            if self.group_of_kernel(tkt.kernel_of(consumer)) != my_group:
-                count += 1
-        return count
-
-    # -- protocol -----------------------------------------------------------------
-    def fetch(self, kernel: int) -> Generator:
-        result = yield from self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
-        return result
-
-    def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
-        mmi = self._mmi(kernel)
-        per_entry = mmi.l1_access_cycles + 2  # posted stores (see hardware.py)
-        yield from mmi.command(lambda: None)
-        yield per_entry * max(block.size - 1, 0)
-        self.tsu.complete_inlet(kernel)
-        self.wake_kernels()
-
-    def resolve_dynamic(
-        self, kernel: int, local_iid: int, outcome: object
-    ) -> Generator:
-        # Same pricing as the single-group device (hardware.py): spawned
-        # templates stream into the kernel's own group as posted stores.
-        if isinstance(outcome, Subflow):
-            mmi = self._mmi(kernel)
-            per_entry = mmi.l1_access_cycles + 2
-            yield from mmi.command(lambda: None)
-            yield per_entry * max(outcome.ninstances - 1, 0)
+        group_of = self._group_of_kernel
+        my_group = group_of[kernel]
+        return sum(
+            group_of[tkt.kernel_of(consumer)] != my_group
+            for consumer in self.tsu.current_block.consumers[local_iid]
+        )
 
     def complete_thread(
         self,
@@ -147,23 +88,14 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
         outcome: object = None,
     ) -> Generator:
         cross = self._cross_group_updates(kernel, local_iid)
-        mmi = self._mmi(kernel)
-        yield from mmi.command(
-            lambda: self._apply_thread_completion(kernel, local_iid, outcome)
-        )
+        yield from super().complete_thread(kernel, local_iid, instance, outcome)
         if cross:
             # Inter-group Ready-Count updates travel between the TSU Group
             # devices; they occupy the source group's port (not the CPU),
             # so the kernel only observes the transfer kick-off latency.
             # Modelling note: the functional update is applied eagerly
-            # (inside the command above), so remote consumers may wake up
-            # to ~intergroup_latency cycles early — a deliberate
+            # (inside the completion command), so remote consumers may
+            # wake up to ~intergroup_latency cycles early — a deliberate
             # simplification, second-order at the 20-cycle default.
             self.intergroup_transfers += cross
             yield self.intergroup_latency
-
-    def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
-        yield from self._mmi(kernel).command(
-            lambda: self.tsu.complete_outlet(kernel)
-        )
-        self.wake_kernels()

@@ -11,6 +11,10 @@ the ablation benchmarks.
 Templates may override placement per context through their ``affinity``
 callable (used e.g. by QSORT's merge tree to co-locate a merge step with
 one of its producers).
+
+:func:`contiguous_partition` is the one kernel → TSU-Group (TFluxHard
+with several groups) and kernel → node (TFluxDist) split: neighbouring
+kernels share a device or a node.
 """
 
 from __future__ import annotations
@@ -19,10 +23,29 @@ from typing import Callable, Sequence
 
 from repro.core.block import DDMBlock
 
-__all__ = ["contiguous_placement", "round_robin_placement", "PlacementPolicy"]
+__all__ = [
+    "contiguous_partition",
+    "contiguous_placement",
+    "round_robin_placement",
+    "PlacementPolicy",
+]
 
 #: (block, nkernels) -> kernel index per block-local instance.
 PlacementPolicy = Callable[[DDMBlock, int], list[int]]
+
+
+def contiguous_partition(nkernels: int, nparts: int) -> list[int]:
+    """Part index of each kernel, for *nparts* contiguous, non-empty parts.
+
+    Part sizes differ by at most one; ``ValueError`` unless
+    ``1 <= nparts <= nkernels``.
+    """
+    if not 1 <= nparts <= nkernels:
+        raise ValueError(
+            f"need 1 <= parts <= nkernels, got {nparts} parts for "
+            f"{nkernels} kernels"
+        )
+    return [k * nparts // nkernels for k in range(nkernels)]
 
 
 def _template_groups(block: DDMBlock) -> list[tuple[int, list[int]]]:

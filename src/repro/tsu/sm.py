@@ -141,7 +141,3 @@ class SynchronizationMemory:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def ready_count_sum(self) -> int:
-        return sum(e.ready_count for e in self._entries.values())

@@ -21,7 +21,9 @@ Timing mechanics modelled here:
 * fetches read the kernel's own SM: cheap and contention-free.
 
 All constants live in :class:`SoftTSUCosts` so the ablation benchmarks can
-sweep them.
+sweep them.  The TUB and emulator are sharded per node, each node's
+kernels pushing into their own shard; TFluxSoft is the one-node case and
+:mod:`repro.tsu.dist` adds what crosses nodes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.dynamic import Subflow
 from repro.sim.engine import Engine, Event, Resource, fastpath_enabled
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
+from repro.tsu.policy import contiguous_partition
 
 __all__ = ["SoftTSUCosts", "SoftwareTSUAdapter"]
 
@@ -61,7 +64,15 @@ class SoftTSUCosts:
 
 
 class SoftwareTSUAdapter(ProtocolAdapter):
-    """Timed software-TSU protocol with an explicit emulator process."""
+    """Timed software-TSU protocol with an explicit emulator process.
+
+    One TUB + TSU Emulator shard per node; TFluxSoft is one node
+    (:attr:`nnodes`), :mod:`repro.tsu.dist` several.
+    """
+
+    #: Nodes, each with its own TUB and TSU Emulator core; kernels split
+    #: across them contiguously.
+    nnodes = 1
 
     def __init__(
         self,
@@ -72,12 +83,22 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         super().__init__(engine, tsu)
         self.costs = costs
         self._fast = fastpath_enabled()
-        self._tub_slots = Resource(engine, capacity=costs.tub_segments, name="tub")
+        nnodes = self.nnodes
+        self._node_of_kernel = contiguous_partition(tsu.nkernels, nnodes)
+        self._node_kernels: list[list[int]] = [[] for _ in range(nnodes)]
+        for k, n in enumerate(self._node_of_kernel):
+            self._node_kernels[n].append(k)
+        self._tub_slots = [
+            Resource(engine, capacity=costs.tub_segments, name=f"tub:{n}")
+            for n in range(nnodes)
+        ]
         # (kernel, local_iid, outcome): the TUB entry carries the dynamic
         # outcome (branch key / spawned Subflow) to the emulator, which
         # applies it during post-processing.
-        self._queue: deque[tuple[int, int, object]] = deque()
-        self._emulator_wake: Optional[Event] = None
+        self._queues: list[deque[tuple[int, int, object]]] = [
+            deque() for _ in range(nnodes)
+        ]
+        self._emulator_wake: list[Optional[Event]] = [None] * nnodes
         self._emulator_started = False
         self._shutdown = False
         # Statistics (plain ints on the hot path; see publish_counters).
@@ -99,38 +120,58 @@ class SoftwareTSUAdapter(ProtocolAdapter):
 
     # -- emulator lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Launch the TSU Emulator process (idempotent)."""
+        """Launch one TSU Emulator process per node (idempotent)."""
         if not self._emulator_started:
             self._emulator_started = True
-            self.engine.process(self._emulator_proc(), name="tsu-emulator")
+            for node in range(self.nnodes):
+                self.engine.process(
+                    self._emulator_proc(node), name=f"tsu-emulator:{node}"
+                )
 
     def shutdown(self) -> None:
         self._shutdown = True
-        self._kick_emulator()
+        for node in range(self.nnodes):
+            self._kick_emulator(node)
 
-    def _kick_emulator(self) -> None:
-        if self._emulator_wake is not None and not self._emulator_wake.triggered:
-            self._emulator_wake.succeed()
+    def _kick_emulator(self, node: int) -> None:
+        wake = self._emulator_wake[node]
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
-    def _emulator_proc(self) -> Generator:
-        """The dedicated-core loop: drain the TUB, apply post-processing."""
+    def _emulator_proc(self, node: int) -> Generator:
+        """One node's dedicated-core loop: drain its TUB, post-process."""
         costs = self.costs
+        queue = self._queues[node]
         while True:
-            if self._queue:
-                kernel, local_iid, outcome = self._queue.popleft()
+            if queue:
+                kernel, local_iid, outcome = queue.popleft()
                 nconsumers = len(self.tsu.current_block.consumers[local_iid])
                 busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
                 yield busy
                 self.emulator_busy_cycles += busy
                 self.emulator_items += 1
                 self.emulator_updates += nconsumers
-                self._apply_thread_completion(kernel, local_iid, outcome)
+                self._post_process(node, kernel, local_iid, outcome)
             elif self._shutdown:
                 return
             else:
-                self._emulator_wake = Event(self.engine, name="tub-nonempty")
-                yield self._emulator_wake
-                self._emulator_wake = None
+                wake = Event(self.engine, name="tub-nonempty")
+                self._emulator_wake[node] = wake
+                yield wake
+                self._emulator_wake[node] = None
+
+    def _post_process(
+        self, node: int, kernel: int, local_iid: int, outcome: object = None
+    ) -> None:
+        """Apply a drained completion on *node*'s emulator."""
+        self._apply_thread_completion(kernel, local_iid, outcome)
+
+    def _wake_node(self, node: int) -> None:
+        """Wake *node*'s waiting kernels (every waiting kernel on one node)."""
+        if self.nnodes == 1:
+            self.wake_kernels()
+        else:
+            self.wake_kernels(set(self._node_kernels[node]))
 
     # -- protocol costs -----------------------------------------------------------
     def fetch(self, kernel: int) -> Generator:
@@ -140,7 +181,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.inlet_per_entry * max(block.size, 1)
         self.tsu.complete_inlet(kernel)
-        self.wake_kernels()
+        self._wake_node(self._node_of_kernel[kernel])
 
     def resolve_dynamic(
         self, kernel: int, local_iid: int, outcome: object
@@ -158,28 +199,29 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         instance: DThreadInstance,
         outcome: object = None,
     ) -> Generator:
-        # Find a free TUB segment (try/lock; blocking only when all
-        # segments are simultaneously held).  A synchronous grant skips
-        # the grant-event hop entirely: one timeout for the push, with
-        # the segment lazily freed at its exact eager release time.
-        if self._fast and self._tub_slots.try_acquire():
-            self._tub_slots.release_at(
-                self.engine.now + self.costs.tub_push_cycles
-            )
+        # Find a free segment of the node-local TUB (try/lock; blocking
+        # only when all segments are simultaneously held).  A synchronous
+        # grant skips the grant-event hop entirely: one timeout for the
+        # push, with the segment lazily freed at its exact eager release
+        # time.
+        node = self._node_of_kernel[kernel]
+        slots = self._tub_slots[node]
+        if self._fast and slots.try_acquire():
+            slots.release_at(self.engine.now + self.costs.tub_push_cycles)
             yield self.costs.tub_push_cycles
             self.fast_pushes += 1
         else:
-            grant = self._tub_slots.request()
+            grant = slots.request()
             yield grant
             try:
                 yield self.costs.tub_push_cycles
             finally:
-                self._tub_slots.release()
-        self._queue.append((kernel, local_iid, outcome))
+                slots.release()
+        self._queues[node].append((kernel, local_iid, outcome))
         self.tub_pushes += 1
-        self._kick_emulator()
+        self._kick_emulator(node)
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.outlet_cycles
         self.tsu.complete_outlet(kernel)
-        self.wake_kernels()
+        self._wake_node(self._node_of_kernel[kernel])

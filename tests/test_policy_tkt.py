@@ -1,20 +1,24 @@
-"""Property tests for placement policies and the (node-extended) TKT.
+"""Property tests for placement policies, the TKT and the node partition.
 
 Satellite coverage for the TFluxDist tentpole: placement is what decides
 how much TSU traffic crosses the network, so its basic contracts —
 every block instance assigned to exactly one in-range kernel, template
 ``affinity`` overrides always honoured, contiguous chunks actually
-contiguous — get pinned here, together with the
-:class:`~repro.tsu.tkt.NodeThreadToKernelTable` round trip that the
-distributed post-processing relies on.
+contiguous — get pinned here, together with the kernel → node
+:func:`~repro.tsu.policy.contiguous_partition` that the distributed
+post-processing composes with the TKT.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import ProgramBuilder
-from repro.tsu.policy import contiguous_placement, round_robin_placement
-from repro.tsu.tkt import NodeThreadToKernelTable, ThreadToKernelTable
+from repro.tsu.policy import (
+    contiguous_partition,
+    contiguous_placement,
+    round_robin_placement,
+)
+from repro.tsu.tkt import ThreadToKernelTable
 
 POLICIES = {
     "contiguous": contiguous_placement,
@@ -109,7 +113,7 @@ def test_affinity_override_wins(policy_name, case, pin):
             assert assignment[local_iid] == pin % nkernels
 
 
-# -- the node-extended TKT -----------------------------------------------------
+# -- the kernel -> node partition ---------------------------------------------
 @st.composite
 def node_tables(draw):
     nkernels = draw(st.integers(min_value=1, max_value=12))
@@ -124,39 +128,40 @@ def node_tables(draw):
     return assignment, nkernels, nnodes
 
 
+def _kernels_of(partition, node):
+    return [k for k, n in enumerate(partition) if n == node]
+
+
 @given(table=node_tables())
 def test_node_tkt_round_trips(table):
-    """instance → (node, kernel) must agree with the base table and with
-    the contiguous kernel→node partition, and recover the base table."""
+    """instance → (node, kernel) through the TKT and the contiguous
+    kernel→node partition agrees with the partition formula."""
     assignment, nkernels, nnodes = table
     base = ThreadToKernelTable(assignment, nkernels)
-    node_tkt = NodeThreadToKernelTable.from_table(base, nnodes)
-    assert node_tkt.assignment == base.assignment
-    assert len(node_tkt) == len(base)
+    partition = contiguous_partition(nkernels, nnodes)
+    assert len(partition) == nkernels
     for local_iid in range(len(base)):
-        node, kernel = node_tkt.placement_of(local_iid)
-        assert kernel == base.kernel_of(local_iid)
-        assert node == node_tkt.node_of(local_iid)
+        kernel = base.kernel_of(local_iid)
+        node = partition[kernel]
         assert node == kernel * nnodes // nkernels
-        assert kernel in node_tkt.kernels_of_node(node)
+        assert kernel in _kernels_of(partition, node)
 
 
 @given(table=node_tables())
 def test_node_tkt_kernel_partition_covers_all_nodes(table):
-    assignment, nkernels, nnodes = table
-    node_tkt = NodeThreadToKernelTable(assignment, nkernels, nnodes)
-    covered = [k for n in range(nnodes) for k in node_tkt.kernels_of_node(n)]
+    _assignment, nkernels, nnodes = table
+    partition = contiguous_partition(nkernels, nnodes)
+    covered = [k for n in range(nnodes) for k in _kernels_of(partition, n)]
     assert sorted(covered) == list(range(nkernels))
     # Contiguity: each node owns one unbroken kernel range.
     for n in range(nnodes):
-        ks = node_tkt.kernels_of_node(n)
-        assert ks == list(range(ks[0], ks[-1] + 1))
+        ks = _kernels_of(partition, n)
         assert ks  # nnodes <= nkernels: nobody is empty
+        assert ks == list(range(ks[0], ks[-1] + 1))
 
 
 def test_node_tkt_rejects_bad_node_counts():
-    base = ThreadToKernelTable([0, 1, 0], 2)
     with pytest.raises(ValueError):
-        NodeThreadToKernelTable.from_table(base, 0)
+        contiguous_partition(2, 0)
     with pytest.raises(ValueError):
-        NodeThreadToKernelTable.from_table(base, 3)
+        contiguous_partition(2, 3)

@@ -160,6 +160,33 @@ def test_wire_rejects_the_removed_evaluate_mode():
     )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"platform": "dist", "cluster": -1},
+        {"platform": "hard", "nkernels": 5000},
+        {"unroll": 0},
+        {"max_threads": 0},
+        {"platform": "dist", "nodes": 2, "nkernels": 1},
+        {"nkernels": -3},
+    ],
+)
+def test_admission_rejects_jobs_that_cannot_run(fields):
+    """Invalid jobs fail at admission, never inside a worker slot."""
+    with pytest.raises(WireError):
+        job_from_wire({"bench": "trapez", **fields})
+
+
+def test_admission_keeps_one_core_baselines_on_dist():
+    """The kernel check is for parallel runs: a sequential baseline runs
+    on one core whatever the node count."""
+    spec = job_from_wire(
+        {"bench": "trapez", "platform": "dist", "nodes": 2, "nkernels": 1,
+         "mode": "sequential"}
+    )
+    assert spec.nkernels == 1
+
+
 def test_job_failure_streams_job_error_and_is_not_cached(spawn):
     handle = spawn(cache=_BrokenCache())
     with ServeClient(handle.address) as client:

@@ -1,4 +1,4 @@
-"""Topology wirings and the hierarchical (cluster-head relay) TSU.
+"""Topology wirings and the cluster-head relay of the distributed TSU.
 
 Covers, in order:
 
@@ -8,7 +8,7 @@ Covers, in order:
   ``net.link_queue_cycles`` counters;
 * FullMesh backward compatibility — the default Network is cycle-exact
   against the pre-topology arithmetic (also pinned by test_dist);
-* HierDistTSUAdapter — degenerate cluster == flat adapter bit-identical,
+* DistTSUAdapter's relay — degenerate cluster == flat bit-identical,
   relayed runs stay functionally correct and count relayed messages,
   and the TFluxDist platform wires topology/cluster through (including
   into the RunRecord's new ``topology`` field).
