@@ -31,6 +31,11 @@ word first, so sharer-set union, upgrade detection and invalidation
 sweeps stay vectorised numpy ops that only touch nodes that actually
 hold copies.
 
+A sweep of a single line on a one-word directory (the fine-grain shape,
+where NumPy call overhead would dwarf the work) takes the same protocol
+on Python ints; ``tests/test_fastcache_oneline.py`` pins the two paths
+field for field.
+
 Latency constants are identical to the exact model, and the test suite
 cross-validates the two models' hit/miss breakdowns on the workload access
 patterns.
@@ -120,7 +125,7 @@ class FastMemorySystem:
 
         self._clock = np.zeros(ncores, dtype=np.int64)
         self._l2_clock = np.zeros(self.ngroups, dtype=np.int64)
-        # Freed-by-invalidation L1 slots per core (see _sweep).
+        # Freed-by-invalidation L1 slots per core (see _sweep_range).
         self._holes = [0] * ncores
         # Per-core coherence masks, hoisted out of the per-sweep hot path
         # (uint64 construction is surprisingly costly in a loop).  A
@@ -272,23 +277,121 @@ class FastMemorySystem:
     def run_summary(self, core: int, summary: AccessSummary) -> int:
         return sum(self.run_op(core, op) for op in summary)
 
-    # -- the vectorised protocol ----------------------------------------------
+    # -- the protocol ---------------------------------------------------------
     def _sweep(
         self, core: int, region: str, sel: slice | np.ndarray, n: int,
         is_write: bool, dense: bool = True,
     ) -> int:
         rs = self._region_state(region)
-        group = self.l2_groups[core]
-        st = self.stats[core]
-        single = self._single_issuer
-        nw = self._nwords
-        if single and core != self._issuer:
+        if self._single_issuer and core != self._issuer:
             if self._issuer is not None:
                 raise RuntimeError(
                     "memory system declared single_issuer but saw traffic "
                     f"from cores {self._issuer} and {core}"
                 )
             self._issuer = core
+        if n == 1 and self._nwords == 1:
+            # One line on a one-word directory (the fine-grain shape: a
+            # DThread writing its own slot of a shared result array).
+            # NumPy call overhead, not work, dominates a 1-element sweep.
+            line = sel.start if isinstance(sel, slice) else int(sel[0])
+            counts = self._sweep_line(core, rs, line, is_write)
+        else:
+            counts = self._sweep_range(core, rs, sel, n, is_write, dense)
+        cycles, n_l1, n_l2, n_mem, n_coh, n_upg = counts
+        st = self.stats[core]
+        st.accesses += n
+        st.l1_hits += n_l1
+        st.l2_hits += n_l2
+        st.mem_misses += n_mem
+        st.coherence_misses += n_coh
+        st.upgrades += n_upg
+        st.cycles += cycles
+        self.bus_transactions += n_coh + n_l2 + n_mem + n_upg
+        return cycles
+
+    def _sweep_line(
+        self, core: int, rs: _RegionState, i: int, is_write: bool,
+    ) -> tuple[int, int, int, int, int, int]:
+        """:meth:`_sweep_range` for the single line *i* on a one-word
+        directory, on Python ints: the same decisions, hole credits, dirty-
+        read downgrade and fill arithmetic, hence identical results.
+        Returns ``(cycles, l1, l2, mem, coherence, upgrades)``."""
+        group = self.l2_groups[core]
+        single = self._single_issuer
+        clock = self._clock.item(core)
+        l2_clock = self._l2_clock.item(group)
+        cap = self.l1_capacity
+        resident = rs.l1_last.item(core, i) >= max(0, clock - cap + 1)
+        in_l2 = rs.l2_last.item(group, i) >= max(
+            0, l2_clock - self.l2_capacity + 1
+        )
+        l1r, l2r = self.l1cfg.read_latency, self.l2cfg.read_latency
+        mem = self.mem
+        coh = upg = False
+        if single:
+            hit = resident
+        else:
+            mybit = 1 << core
+            sh = rs.sharers.item(0, i)
+            own = rs.owner.item(i)
+            hit = resident and (sh & mybit) != 0
+            coh = not hit and own >= 0 and own != core
+        if hit:
+            cycles = self.l1cfg.write_latency if is_write else l1r
+        elif coh:
+            cycles = mem.cache_to_cache_latency + l1r
+        elif in_l2:
+            cycles = l1r + l2r
+        else:
+            cycles = l1r + l2r + mem.dram_latency
+        if not single:
+            if is_write:
+                remote = sh & int(self._othermask[core])
+                if hit and remote:
+                    upg = True
+                    cycles += mem.upgrade_latency
+                # Invalidated still-resident copies become holes there
+                # (the _absorb_holes threshold).
+                while remote:
+                    low = remote & -remote
+                    remote ^= low
+                    other = low.bit_length() - 1
+                    if rs.l1_last.item(other, i) >= max(
+                        0, self._clock.item(other) - cap + 1
+                    ):
+                        self._holes[other] += 1
+                rs.sharers[0, i] = mybit
+                rs.owner[i] = core
+            else:
+                if coh:
+                    # Dirty read: the owner's writeback lands in the
+                    # owner's L2 group before the reader's own fill.
+                    og = self.l2_groups[own]
+                    rs.owner[i] = -1
+                    rs.l2_last[og, i] = self._l2_clock.item(og)
+                rs.sharers[0, i] = sh | mybit
+        fill = 0 if hit else 1
+        if fill and self._holes[core]:
+            self._holes[core] -= 1
+            fill = 0
+        rs.l1_last[core, i] = self._clock[core] = clock + fill
+        l2_fill = 1 if coh or not (hit or in_l2) else 0
+        rs.l2_last[group, i] = self._l2_clock[group] = l2_clock + l2_fill
+        plain_miss = not (hit or coh)
+        return (
+            cycles, int(hit), int(plain_miss and in_l2),
+            int(plain_miss and not in_l2), int(coh), int(upg),
+        )
+
+    def _sweep_range(
+        self, core: int, rs: _RegionState, sel: slice | np.ndarray, n: int,
+        is_write: bool, dense: bool,
+    ) -> tuple[int, int, int, int, int, int]:
+        """The vectorised protocol for any sweep; counts as :meth:`_sweep_line`."""
+        group = self.l2_groups[core]
+        single = self._single_issuer
+        nw = self._nwords
 
         clock = self._clock[core]
         l2_clock = self._l2_clock[group]
@@ -447,15 +550,7 @@ class FastMemorySystem:
             rs.l2_last[group, sel] = l2_clock + l2_fills
             self._l2_clock[group] = l2_clock + int(l2_fills[-1])
 
-        st.accesses += n
-        st.l1_hits += n_l1
-        st.l2_hits += n_l2
-        st.mem_misses += n_mem
-        st.coherence_misses += n_coh
-        st.upgrades += n_upg
-        st.cycles += cycles
-        self.bus_transactions += n_coh + n_l2 + n_mem + n_upg
-        return cycles
+        return cycles, n_l1, n_l2, n_mem, n_coh, n_upg
 
     # -- aggregate ------------------------------------------------------------
     def total_stats(self) -> CacheStats:
